@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use triad_core::{NumericMode, TriAd, TriadConfig};
+use triad_core::{TriAd, TriadConfig};
 use triad_fleet::{DriftPolicy, FleetConfig, FleetManager, RefitRequest, Refitter};
 use triad_stream::ModelLoader;
 
@@ -46,8 +46,6 @@ pub struct FleetOptions {
     pub budget_bytes: usize,
     /// Points pushed per stream (0 = scale default).
     pub points: usize,
-    /// Numeric kernel mode for every engine the soak fits or rehydrates.
-    pub numeric_mode: NumericMode,
 }
 
 /// One soak at a fixed thread count.
@@ -182,7 +180,7 @@ fn stream_series(index: usize, points: usize, period: f64) -> Vec<f64> {
 /// is `!Send`, so configs and training slices cross threads, models don't).
 type RecipeBook = Arc<Mutex<BTreeMap<String, (TriadConfig, Vec<f64>)>>>;
 
-fn base_cfg(threads: usize, numeric_mode: NumericMode) -> TriadConfig {
+fn base_cfg(threads: usize) -> TriadConfig {
     TriadConfig {
         epochs: 1,
         depth: 2,
@@ -191,14 +189,12 @@ fn base_cfg(threads: usize, numeric_mode: NumericMode) -> TriadConfig {
         merlin_step: 8,
         seed: 7,
         threads,
-        numeric_mode,
         ..TriadConfig::default()
     }
 }
 
 fn soak(
     threads: usize,
-    numeric_mode: NumericMode,
     streams: usize,
     points: usize,
     budget: usize,
@@ -220,7 +216,7 @@ fn soak(
             .cloned();
         match recipe {
             Some((cfg, series)) => TriAd::new(cfg).fit(&series).map_err(|e| e.to_string()),
-            None => TriAd::new(base_cfg(threads, numeric_mode))
+            None => TriAd::new(base_cfg(threads))
                 .fit(&train)
                 .map_err(|e| e.to_string()),
         }
@@ -398,14 +394,7 @@ pub fn run_fleet(opts: &FleetOptions) -> Result<Vec<String>, String> {
     let mut runs = Vec::new();
     for &t in &FLEET_THREADS {
         let store_dir = opts.out_dir.join(format!("fleet_store_t{t}"));
-        runs.push(soak(
-            t,
-            opts.numeric_mode,
-            streams,
-            points,
-            budget,
-            &store_dir,
-        )?);
+        runs.push(soak(t, streams, points, budget, &store_dir)?);
     }
 
     let bit_identical = runs.windows(2).all(|w| w[0].checksum == w[1].checksum);
@@ -458,7 +447,6 @@ mod tests {
             streams: 6,
             budget_bytes: 96 * 1024,
             points: 380,
-            numeric_mode: NumericMode::Exact,
         };
         let lines = run_fleet(&opts).expect("fleet soak");
         assert_eq!(lines.len(), 1);

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 
 use discord::fast::merlin_fast;
 use discord::merlin::{merlin, MerlinConfig};
-use triad_core::{persist, NumericMode, TriAd, TriadConfig, TriadDetection};
+use triad_core::{persist, TriAd, TriadConfig, TriadDetection};
 use triad_stream::{StreamConfig, StreamEngine};
 use tsops::mass::SelfJoinPlan;
 
@@ -36,10 +36,6 @@ pub struct BenchOptions {
     /// Subset of stages to run (empty = all of
     /// train/detect/stream/discord/kernels).
     pub stages: Vec<String>,
-    /// Numeric kernel mode for the detect/stream stages. The discord stage
-    /// always measures *both* modes (that comparison is its whole point),
-    /// and train/kernels are mode-independent.
-    pub numeric_mode: NumericMode,
 }
 
 /// One timed run of a stage at a fixed thread count.
@@ -56,9 +52,9 @@ struct StageReport {
     smoke: bool,
     workload: String,
     runs: Vec<ThreadRun>,
-    /// Fast-numeric-mode sweep (discord stage only; empty elsewhere).
-    /// `runs` stays the exact-mode sweep so the schema and any baseline
-    /// comparisons against older files keep their meaning.
+    /// Pipeline-kernel (`merlin_fast`) sweep (discord stage only; empty
+    /// elsewhere). There `runs` is the exact ladder, so the file keeps
+    /// timing the oracle against the kernel the pipeline runs.
     fast_runs: Vec<ThreadRun>,
     bit_identical: bool,
 }
@@ -78,7 +74,8 @@ fn runs_json(runs: &[ThreadRun]) -> String {
 }
 
 impl StageReport {
-    /// Fast-mode serial time vs exact-mode serial time (discord only).
+    /// Exact-ladder serial time over pipeline-kernel serial time (discord
+    /// only).
     fn fast_speedup_vs_exact(&self) -> Option<f64> {
         let exact = self.runs.first()?.wall_ms;
         let fast = self.fast_runs.first()?.wall_ms;
@@ -258,8 +255,8 @@ fn report(stage: &'static str, smoke: bool, workload: String, runs: Vec<ThreadRu
     }
 }
 
-/// Attach a fast-mode sweep to a report. Bit-identity is demanded *within*
-/// each mode (the modes' checksums legitimately differ — that is what
+/// Attach the pipeline-kernel sweep to a report. Bit-identity is demanded
+/// *within* each kernel (their checksums legitimately differ — that is what
 /// "tolerance-equivalent" means).
 fn with_fast(mut rep: StageReport, fast_runs: Vec<ThreadRun>) -> StageReport {
     rep.bit_identical =
@@ -306,7 +303,7 @@ fn stage_train(smoke: bool, reps: usize) -> Result<StageReport, String> {
 
 /// Detect stage: one serial fit, then the full inference pipeline
 /// (embedding, ranking, selection, MERLIN, voting) timed per thread count.
-fn stage_detect(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageReport, String> {
+fn stage_detect(smoke: bool, reps: usize) -> Result<StageReport, String> {
     let (n_train, n_test, period) = if smoke {
         (512, 512, 32)
     } else {
@@ -320,7 +317,6 @@ fn stage_detect(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageRepo
         batch: 8,
         merlin_step: if smoke { 8 } else { 2 },
         seed: 7,
-        numeric_mode: mode,
         ..TriadConfig::default()
     };
     let mut fitted = TriAd::new(cfg).fit(&train)?;
@@ -334,14 +330,14 @@ fn stage_detect(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageRepo
     Ok(report(
         "detect",
         smoke,
-        format!("fit n={n_train}, detect n={n_test} (period {period}, {mode})"),
+        format!("fit n={n_train}, detect n={n_test} (period {period})"),
         runs,
     ))
 }
 
 /// Stream stage: sample-at-a-time replay through the incremental engine
 /// plus the offline-equivalent `finalize`, per thread count.
-fn stage_stream(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageReport, String> {
+fn stage_stream(smoke: bool, reps: usize) -> Result<StageReport, String> {
     let (n_train, n_test, period) = if smoke {
         (512, 512, 32)
     } else {
@@ -355,7 +351,6 @@ fn stage_stream(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageRepo
         batch: 8,
         merlin_step: if smoke { 8 } else { 2 },
         seed: 7,
-        numeric_mode: mode,
         ..TriadConfig::default()
     };
     let mut fitted = TriAd::new(cfg).fit(&train)?;
@@ -385,14 +380,14 @@ fn stage_stream(smoke: bool, reps: usize, mode: NumericMode) -> Result<StageRepo
     Ok(report(
         "stream",
         smoke,
-        format!("replay n={n_test} + finalize (period {period}, {mode})"),
+        format!("replay n={n_test} + finalize (period {period})"),
         runs,
     ))
 }
 
-/// Discord stage: the MERLIN length sweep alone, at bench scale. Both
-/// numeric modes are always measured — `runs` is the exact ladder, the
-/// extra `fast_runs`/`fast_speedup_vs_exact` keys are the MASS kernels.
+/// Discord stage: the MERLIN length sweep alone, at bench scale. `runs` is
+/// the exact ladder (the oracle), the extra `fast_runs`/`fast_speedup_vs_exact`
+/// keys are the MASS profile kernel the detect pipeline runs.
 fn stage_discord(smoke: bool, reps: usize) -> Result<StageReport, String> {
     let (n, min_len, max_len, step) = if smoke {
         (300, 8, 32, 4)
@@ -754,8 +749,8 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Vec<String>, String> {
         }
         let rep = match stage {
             "train" => stage_train(opts.smoke, reps)?,
-            "detect" => stage_detect(opts.smoke, reps, opts.numeric_mode)?,
-            "stream" => stage_stream(opts.smoke, reps, opts.numeric_mode)?,
+            "detect" => stage_detect(opts.smoke, reps)?,
+            "stream" => stage_stream(opts.smoke, reps)?,
             _ => stage_discord(opts.smoke, reps)?,
         };
         let path = opts.out_dir.join(format!("BENCH_{}.json", rep.stage));
@@ -801,7 +796,6 @@ mod tests {
             smoke: true,
             out_dir: dir.clone(),
             stages: vec!["discord".into()],
-            numeric_mode: NumericMode::Exact,
         };
         let lines = run_bench(&opts).expect("smoke bench");
         assert_eq!(lines.len(), 1);
@@ -831,7 +825,6 @@ mod tests {
             smoke: true,
             out_dir: dir.clone(),
             stages: vec!["kernels".into()],
-            numeric_mode: NumericMode::Exact,
         };
         let lines = run_bench(&opts).expect("kernels bench");
         assert_eq!(lines.len(), 1);
@@ -860,7 +853,6 @@ mod tests {
             smoke: true,
             out_dir: std::env::temp_dir(),
             stages: vec!["bogus".into()],
-            numeric_mode: NumericMode::Exact,
         };
         assert!(run_bench(&opts).is_err());
     }

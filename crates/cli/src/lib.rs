@@ -25,7 +25,7 @@ mod trace_cmd;
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use triad_core::{persist, FittedTriad, NumericMode, TriAd, TriadConfig};
+use triad_core::{persist, FittedTriad, TriAd, TriadConfig};
 use triad_serve::{Client, ServeConfig, Value};
 use triad_stream::{checkpoint, StreamConfig, StreamEngine};
 
@@ -41,7 +41,9 @@ impl Cli {
     ///
     /// Flags take a value (`--epochs 3`); a flag followed by another flag or
     /// by nothing is boolean (`--smoke`) and stores an empty value, visible
-    /// through [`get`](Cli::get) as `Some("")`.
+    /// through [`get`](Cli::get) as `Some("")`. For a known verb, every flag
+    /// must be one the verb accepts (see [`usage`]), with a value exactly
+    /// when it is a value flag; anything else is a parse error.
     pub fn parse(args: &[String]) -> Result<Cli, String> {
         let command = args.first().cloned().ok_or_else(usage)?;
         let mut pairs = Vec::new();
@@ -61,7 +63,41 @@ impl Cli {
                 }
             }
         }
-        Ok(Cli { command, pairs })
+        let cli = Cli { command, pairs };
+        cli.check_flags()?;
+        Ok(cli)
+    }
+
+    /// Reject flags the verb does not accept, switches given a value, and
+    /// value flags given none. Unknown verbs are left to [`run`].
+    fn check_flags(&self) -> Result<(), String> {
+        let verb = match self.command.as_str() {
+            "stream" if self.get("addr").is_some() => "stream --addr",
+            "--help" | "-h" => "help",
+            other => other,
+        };
+        let Some((_, values, switches)) = VERB_FLAGS.iter().find(|(v, ..)| *v == verb) else {
+            return Ok(());
+        };
+        for (key, value) in &self.pairs {
+            let k = key.as_str();
+            if values.contains(&k) {
+                if value.is_empty() {
+                    return Err(format!("triad {verb}: --{key} needs a value"));
+                }
+            } else if switches.contains(&k) {
+                if !value.is_empty() {
+                    return Err(format!(
+                        "triad {verb}: --{key} takes no value, got {value:?}"
+                    ));
+                }
+            } else {
+                return Err(format!(
+                    "triad {verb}: unknown flag --{key} (see `triad help`)"
+                ));
+            }
+        }
+        Ok(())
     }
 
     pub fn get(&self, key: &str) -> Option<&str> {
@@ -84,42 +120,70 @@ impl Cli {
     }
 }
 
+/// The flags each verb accepts: `(verb, value flags, switches)`. `stream`
+/// has two rows, the local replay and the `--addr` server replay.
+#[rustfmt::skip]
+const VERB_FLAGS: &[(&str, &[&str], &[&str])] = &[
+    ("fit", &["train", "model", "epochs", "seed", "merlin-step", "threads"], &[]),
+    ("detect", &["test", "train", "model", "epochs", "seed", "merlin-step", "labels", "threads"], &[]),
+    ("gen", &["out", "seed", "id"], &[]),
+    ("eval", &["pred", "labels"], &[]),
+    ("serve", &["addr", "models", "workers", "executors", "max-batch", "max-delay-ms",
+        "request-timeout-ms", "idle-timeout-ms", "cache", "threads", "stream-shards",
+        "stream-queue", "stream-checkpoints", "fleet-budget"], &[]),
+    ("client", &["verb", "addr", "timeout-ms", "model", "series", "train", "epochs", "seed",
+        "merlin_step", "stream", "format"], &[]),
+    ("stream", &["test", "model", "train", "epochs", "seed", "merlin-step", "chunk", "enter",
+        "exit", "checkpoint-at", "threads"], &[]),
+    ("stream --addr", &["addr", "model", "test", "stream", "chunk", "timeout-ms"], &[]),
+    ("bench", &["out-dir", "stages"], &["smoke"]),
+    ("fleet", &["out-dir", "streams", "budget", "points"], &["smoke"]),
+    ("evalbed", &["out-dir", "datasets", "methods", "metrics", "epochs", "seed", "archive-seed",
+        "threads", "models", "check", "tolerance"], &["smoke", "resume", "no-cache", "stride-sweep"]),
+    ("trace", &["out-dir", "seed", "threads"], &["smoke"]),
+    ("lint", &["root", "baseline"], &["json", "sarif", "deny", "include-vendor", "fixture"]),
+    ("help", &[], &[]),
+];
+
 /// Usage text.
 pub fn usage() -> String {
     "\
 triad — self-supervised tri-domain time-series anomaly detection
 
 USAGE:
-  triad fit    --train FILE --model FILE [--epochs N] [--seed N] [--threads N]
-  triad detect --test FILE (--train FILE [--epochs N] | --model FILE)
-               [--labels FILE] [--threads N] [--numeric-mode exact|fast]
+  triad fit    --train FILE --model FILE [--epochs N] [--seed N]
+               [--merlin-step N] [--threads N]
+  triad detect --test FILE (--train FILE [--epochs N] [--seed N] | --model FILE)
+               [--merlin-step N] [--labels FILE] [--threads N]
   triad gen    --out FILE [--seed N] [--id N]
   triad eval   --pred FILE --labels FILE
   triad serve  [--addr HOST:PORT] [--models DIR] [--workers N] [--executors N]
-               [--max-batch N] [--max-delay-ms N] [--cache N] [--threads N]
+               [--max-batch N] [--max-delay-ms N] [--request-timeout-ms N]
+               [--idle-timeout-ms N] [--cache N] [--threads N]
                [--stream-shards N] [--stream-queue N] [--stream-checkpoints DIR]
-               [--fleet-budget BYTES] [--numeric-mode exact|fast]
-  triad client --verb VERB [--addr HOST:PORT] [--model NAME]
+               [--fleet-budget BYTES]
+  triad client --verb VERB [--addr HOST:PORT] [--timeout-ms N] [--model NAME]
                [--series FILE] [--train FILE] [--epochs N] [--seed N]
-  triad stream --test FILE (--model FILE | --train FILE [--epochs N])
-               [--chunk N] [--enter X] [--exit X] [--checkpoint-at N] [--threads N]
-               [--numeric-mode exact|fast]
+               [--merlin_step N] [--stream NAME] [--format text]
+  triad stream --test FILE (--model FILE | --train FILE [--epochs N] [--seed N])
+               [--merlin-step N] [--chunk N] [--enter X] [--exit X]
+               [--checkpoint-at N] [--threads N]
   triad stream --addr HOST:PORT --model NAME --test FILE
-               [--stream NAME] [--chunk N]
+               [--stream NAME] [--chunk N] [--timeout-ms N]
   triad bench  [--smoke] [--out-dir DIR] [--stages LIST]
-               [--numeric-mode exact|fast]
   triad fleet  [--smoke] [--out-dir DIR] [--streams N] [--budget BYTES]
-               [--points N] [--numeric-mode exact|fast]
+               [--points N]
   triad evalbed [--smoke] [--out-dir DIR] [--datasets SPEC] [--methods LIST]
                [--metrics LIST] [--epochs N] [--seed N] [--archive-seed N]
                [--threads N] [--resume] [--no-cache] [--models DIR]
                [--stride-sweep] [--check FILE] [--tolerance X]
-               [--numeric-mode exact|fast]
   triad trace  [--smoke] [--out-dir DIR] [--seed N] [--threads N]
   triad lint   [--root DIR] [--json | --sarif] [--deny] [--baseline FILE]
                [--include-vendor] [--fixture]
 
 Series files hold one sample per line (UCR archive format accepted).
+Each verb accepts only the flags listed for it; any other flag, a switch
+given a value, or a value flag given none exits 2.
 `detect` prints the flagged region; with --labels it also prints metrics.
 `gen` writes a synthetic dataset named with the UCR convention next to --out.
 `serve` blocks until a client sends the shutdown verb; `client` verbs are
@@ -137,15 +201,12 @@ final offline-equivalent detection. Without --addr it runs in-process
 --threads N sets the worker count for the parallel runtime (0 = auto,
 capped; TRIAD_THREADS overrides the auto choice). Results are bit-identical
 at any thread count.
---numeric-mode picks the detection kernels: `exact` (default) keeps the
-bit-exact reference ladder, `fast` switches the discord search to the
-FFT-backed MASS kernels — same discords within a 1e-6 tolerance, still
-bit-identical across thread counts within the mode.
 `bench` runs the fixed-seed perf harness (train/detect/stream/discord
 workloads at 1/2/4/8 threads, plus a `kernels` micro-stage comparing the
 blocked/FFT kernels against scalar references) and writes one
 BENCH_<stage>.json per stage into --out-dir (default `.`); the discord
-stage always measures both numeric modes; --smoke shrinks the workloads
+stage times the exact MERLIN ladder against the pipeline's MASS profile
+kernel; --smoke shrinks the workloads
 for CI and --stages narrows to a comma-separated subset.
 `fleet` soaks the memory-budgeted fleet tier: opens --streams streams (far
 more than --budget resident-engine bytes can hold), pushes an archive-style
@@ -192,20 +253,12 @@ pub fn read_labels(path: &Path) -> Result<Vec<bool>, String> {
     Ok(read_series(path)?.into_iter().map(|v| v != 0.0).collect())
 }
 
-fn numeric_mode_from(cli: &Cli) -> Result<NumericMode, String> {
-    match cli.get("numeric-mode") {
-        Some(v) => v.parse(),
-        None => Ok(NumericMode::Exact),
-    }
-}
-
 fn config_from(cli: &Cli) -> Result<TriadConfig, String> {
     Ok(TriadConfig {
         epochs: cli.get_num("epochs", 10usize)?,
         seed: cli.get_num("seed", 0u64)?,
         merlin_step: cli.get_num("merlin-step", 2usize)?,
         threads: cli.get_num("threads", 0usize)?,
-        numeric_mode: numeric_mode_from(cli)?,
         ..TriadConfig::default()
     })
 }
@@ -255,7 +308,6 @@ fn cmd_detect(cli: &Cli) -> Result<Vec<String>, String> {
         (None, None) => return Err("detect needs --model or --train".into()),
     };
     fitted.set_threads(cli.get_num("threads", 0usize)?);
-    fitted.set_numeric_mode(numeric_mode_from(cli)?);
     let det = fitted.detect(&test);
     let mut out = vec![
         format!("selected window : {:?}", det.selected_window),
@@ -366,7 +418,6 @@ fn cmd_serve(cli: &Cli) -> Result<Vec<String>, String> {
             None => None,
         },
         threads: cli.get_num("threads", 0usize)?,
-        numeric_mode: numeric_mode_from(cli)?,
     };
     let models_dir = cfg.models_dir.clone();
     let handle = triad_serve::start(cfg).map_err(|e| format!("serve: {e}"))?;
@@ -455,7 +506,6 @@ fn cmd_stream(cli: &Cli) -> Result<Vec<String>, String> {
         }
     };
     fitted.set_threads(cli.get_num("threads", 0usize)?);
-    fitted.set_numeric_mode(numeric_mode_from(cli)?);
     let chunk = cli.get_num("chunk", 64usize)?.max(1);
     let defaults = StreamConfig::default();
     let cfg = StreamConfig {
@@ -607,19 +657,19 @@ fn cmd_stream_remote(cli: &Cli) -> Result<Vec<String>, String> {
 /// Run the fixed-seed perf harness (`crates/bench::perf`) and report where
 /// each `BENCH_<stage>.json` landed.
 fn cmd_bench(cli: &Cli) -> Result<Vec<String>, String> {
-    let stages: Vec<String> = match cli.get("stages") {
-        None | Some("") => Vec::new(),
-        Some(s) => s
-            .split(',')
-            .map(|t| t.trim().to_string())
-            .filter(|t| !t.is_empty())
-            .collect(),
-    };
+    let stages: Vec<String> = cli
+        .get("stages")
+        .map(|s| {
+            s.split(',')
+                .map(|t| t.trim().to_string())
+                .filter(|t| !t.is_empty())
+                .collect()
+        })
+        .unwrap_or_default();
     let opts = bench::perf::BenchOptions {
         smoke: cli.get("smoke").is_some(),
         out_dir: PathBuf::from(cli.get("out-dir").unwrap_or(".")),
         stages,
-        numeric_mode: numeric_mode_from(cli)?,
     };
     bench::perf::run_bench(&opts)
 }
@@ -633,7 +683,6 @@ fn cmd_fleet(cli: &Cli) -> Result<Vec<String>, String> {
         streams: cli.get_num("streams", 0usize)?,
         budget_bytes: cli.get_num("budget", 0usize)?,
         points: cli.get_num("points", 0usize)?,
-        numeric_mode: numeric_mode_from(cli)?,
     };
     bench::fleet::run_fleet(&opts)
 }
@@ -665,7 +714,6 @@ fn cmd_evalbed(cli: &Cli) -> Result<Vec<String>, String> {
     opts.stride_sweep = cli.get("stride-sweep").is_some();
     opts.models_dir = cli.get("models").map(PathBuf::from);
     opts.check = cli.get("check").map(PathBuf::from);
-    opts.numeric_mode = numeric_mode_from(cli)?;
 
     let outcome = evalbed::run(&opts)?;
     let mut out = vec![
@@ -798,6 +846,52 @@ mod tests {
         let cli = Cli::parse(&argv(&["x", "--smoke", "--out-dir", "d"])).unwrap();
         assert_eq!(cli.get("smoke"), Some(""));
         assert_eq!(cli.get("out-dir"), Some("d"));
+    }
+
+    #[test]
+    fn verbs_reject_flags_they_do_not_accept() {
+        // Unknown and inapplicable flags, and switches given a value, exit 2
+        // in `tests/cli.rs`; a value flag given none fails the same way.
+        let err = Cli::parse(&argv(&["fit", "--train", "--model", "m"])).unwrap_err();
+        assert!(err.contains("--train needs a value"), "{err}");
+        // The two stream modes accept different flags.
+        assert!(Cli::parse(&argv(&["stream", "--test", "t", "--stream", "s"])).is_err());
+        assert!(Cli::parse(&argv(&["stream", "--addr", "a", "--stream", "s"])).is_ok());
+        assert!(Cli::parse(&argv(&["stream", "--addr", "a", "--threads", "2"])).is_err());
+        assert!(Cli::parse(&argv(&["help", "--verbose"])).is_err());
+        // Unknown verbs are not flag-checked; `run` reports them.
+        assert!(Cli::parse(&argv(&["teleport", "--anything", "1"])).is_ok());
+    }
+
+    #[test]
+    fn usage_lines_match_the_flag_table() {
+        // One `triad <verb> ...` entry per USAGE item, continuation lines
+        // included; the `stream` entry naming `--addr` is "stream --addr".
+        let text = usage();
+        let block = &text[text.find("USAGE:").unwrap()..];
+        let block = &block[..block.find("\n\n").unwrap()];
+        let entries: Vec<&str> = block.split("\n  triad ").skip(1).collect();
+        for entry in &entries {
+            let mut verb = entry.split_whitespace().next().unwrap().to_string();
+            if verb == "stream" && entry.contains("--addr") {
+                verb.push_str(" --addr");
+            }
+            let (_, values, switches) = VERB_FLAGS
+                .iter()
+                .find(|(v, ..)| *v == verb)
+                .unwrap_or_else(|| panic!("no flag row for {verb}"));
+            let mut documented: Vec<&str> = entry
+                .split(|c: char| !(c == '-' || c == '_' || c.is_ascii_alphanumeric()))
+                .filter_map(|w| w.strip_prefix("--"))
+                .collect();
+            documented.sort_unstable();
+            documented.dedup();
+            let mut declared: Vec<&str> = values.iter().chain(switches.iter()).copied().collect();
+            declared.sort_unstable();
+            assert_eq!(documented, declared, "usage vs flag table for {verb}");
+        }
+        // Every row but `help` has its entry.
+        assert_eq!(entries.len(), VERB_FLAGS.len() - 1);
     }
 
     #[test]

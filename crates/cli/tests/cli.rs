@@ -96,6 +96,96 @@ fn help_and_gen_exit_0() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn unknown_and_inapplicable_flags_exit_2_naming_the_flag() {
+    for (args, flag) in [
+        (
+            &["detect", "--test", "t.txt", "--numeric-mode", "fast"][..],
+            "--numeric-mode",
+        ),
+        (&["trace", "--bogus-flag", "7"][..], "--bogus-flag"),
+        (&["gen", "--out", "d", "--stages", "train"][..], "--stages"),
+        (&["bench", "--smoke", "yes"][..], "--smoke"),
+    ] {
+        let out = triad().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{args:?}: {err}");
+    }
+}
+
+/// Write `values` one per line.
+fn write_series(path: &std::path::Path, values: impl Iterator<Item = f64>) {
+    let lines: Vec<String> = values.map(|v| format!("{v:.6}")).collect();
+    std::fs::write(path, lines.join("\n")).unwrap();
+}
+
+fn sine(i: usize) -> f64 {
+    (2.0 * std::f64::consts::PI * i as f64 / 40.0).sin()
+}
+
+/// The anomalous points of [`with_event`].
+const EVENT: std::ops::Range<usize> = 120..160;
+
+/// [`sine`] with a level shift over [`EVENT`].
+fn with_event(i: usize) -> f64 {
+    sine(i) + if EVENT.contains(&i) { 0.9 } else { 0.0 }
+}
+
+/// One valid invocation per verb, each with flags from its own row of the
+/// flag table. `serve`, `client` and `stream --addr` run in
+/// `serve_and_client_round_trip_over_the_binary`; `gen` and `help` in
+/// `help_and_gen_exit_0`.
+#[test]
+fn every_verb_runs_with_its_own_flags() {
+    let dir = tmpdir("verbs");
+    let train = dir.join("train.txt");
+    let test = dir.join("test.txt");
+    let labels = dir.join("labels.txt");
+    write_series(&train, (0..320).map(sine));
+    write_series(&test, (0..300).map(with_event));
+    write_series(
+        &labels,
+        (0..300).map(|i| if EVENT.contains(&i) { 1.0 } else { 0.0 }),
+    );
+    let path = |p: std::path::PathBuf| p.to_str().unwrap().to_string();
+    let (train, test, labels) = (path(train), path(test), path(labels));
+    let model = path(dir.join("m.triad"));
+    let out = |tag: &str| path(dir.join(tag));
+    let (bench, fleet, evalbed, trace) = (out("bench"), out("fleet"), out("evalbed"), out("trace"));
+    #[rustfmt::skip]
+    let runs: [(&[&str], &str); 9] = [
+        (&["fit", "--train", &train, "--model", &model, "--epochs", "1", "--seed", "1",
+            "--merlin-step", "4", "--threads", "1"], "saved"),
+        (&["detect", "--test", &test, "--model", &model, "--labels", &labels, "--threads", "2"],
+            "flagged region"),
+        (&["stream", "--test", &test, "--model", &model, "--chunk", "50", "--checkpoint-at", "100"],
+            "flagged region"),
+        (&["eval", "--pred", &labels, "--labels", &labels], "F1(PW)"),
+        (&["bench", "--smoke", "--stages", "discord", "--out-dir", &bench], "BENCH_discord.json"),
+        (&["fleet", "--smoke", "--streams", "6", "--budget", "98304", "--points", "380",
+            "--out-dir", &fleet], "FLEET_soak.json"),
+        (&["evalbed", "--smoke", "--datasets", "1", "--methods", "random", "--out-dir", &evalbed],
+            "ranking"),
+        (&["trace", "--smoke", "--seed", "0", "--out-dir", &trace], "TRACE.jsonl"),
+        (&["lint", "--fixture"], "PASS"),
+    ];
+    // `fit` first: detect and stream load its model.
+    for (args, expect) in runs {
+        let out = triad().args(args).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains(expect), "{args:?}: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 struct KillOnDrop(Child);
 
 impl Drop for KillOnDrop {
@@ -111,25 +201,8 @@ fn serve_and_client_round_trip_over_the_binary() {
     let models = dir.join("models");
     let train_path = dir.join("train.txt");
     let series_path = dir.join("series.txt");
-    let train: Vec<String> = (0..600)
-        .map(|i| {
-            format!(
-                "{:.6}",
-                (2.0 * std::f64::consts::PI * i as f64 / 40.0).sin()
-            )
-        })
-        .collect();
-    std::fs::write(&train_path, train.join("\n")).unwrap();
-    let series: Vec<String> = (0..300)
-        .map(|i| {
-            let base = (2.0 * std::f64::consts::PI * i as f64 / 40.0).sin();
-            format!(
-                "{:.6}",
-                base + if (120..160).contains(&i) { 0.9 } else { 0.0 }
-            )
-        })
-        .collect();
-    std::fs::write(&series_path, series.join("\n")).unwrap();
+    write_series(&train_path, (0..600).map(sine));
+    write_series(&series_path, (0..300).map(with_event));
 
     let mut serve = KillOnDrop(
         triad()
@@ -203,6 +276,24 @@ fn serve_and_client_round_trip_over_the_binary() {
     let (code, body) = client(&["--verb", "stats", "--format", "text"]);
     assert_eq!(code, Some(0), "{body}");
     assert!(body.contains("triad_detect_total 1"), "{body}");
+
+    // `stream` in server mode takes its own flag set.
+    let out = triad()
+        .args(["stream", "--addr", &addr, "--model", "cli-demo", "--test"])
+        .arg(&series_path)
+        .args([
+            "--stream",
+            "cli-s",
+            "--chunk",
+            "64",
+            "--timeout-ms",
+            "60000",
+        ])
+        .output()
+        .unwrap();
+    let body = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{body}");
+    assert!(body.contains("as stream \"cli-s\""), "{body}");
 
     // Detect against a model name that doesn't exist fails loudly.
     let (code, _) = client(&[

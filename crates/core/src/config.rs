@@ -1,7 +1,6 @@
 //! TriAD hyper-parameters and ablation switches.
 
 use tsaug::AugmentConfig;
-use tsops::NumericMode;
 
 /// Full configuration of the TriAD pipeline. Defaults are the paper's
 /// settings (Sec. IV-A3/IV-A4): 6 residual blocks, `h_d = 32`, `α = 0.4`,
@@ -76,14 +75,6 @@ pub struct TriadConfig {
     /// field — never on the thread count — so results stay bit-identical
     /// across thread counts.
     pub grad_shards: usize,
-    /// Numeric kernel family for the discord stage: `Exact` (default,
-    /// bit-identical scalar loops) or `Fast` (MASS/FFT profile kernels,
-    /// tolerance-equivalent — same discord indices, distances within 1e-6
-    /// relative; see DESIGN.md "Numeric modes"). Both modes are
-    /// bit-identical across thread counts *within* themselves. Like
-    /// [`Self::threads`] this never changes what the model *is*, so it is
-    /// *not* persisted with the model.
-    pub numeric_mode: NumericMode,
     /// Ablation switches (Fig. 9): which domains participate.
     pub use_temporal: bool,
     pub use_frequency: bool,
@@ -120,7 +111,6 @@ impl Default for TriadConfig {
             threads: 0,
             trace: false,
             grad_shards: 1,
-            numeric_mode: NumericMode::Exact,
             use_temporal: true,
             use_frequency: true,
             use_residual: true,

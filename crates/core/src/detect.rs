@@ -6,10 +6,19 @@ use crate::error::DetectError;
 use crate::features::FeatureExtractor;
 use crate::train::Model;
 use crate::Domain;
+use discord::fast::merlin_fast;
 use discord::merlin::MerlinConfig;
-use discord::{merlin_mode, Discord};
+use discord::Discord;
 use std::ops::Range;
 use tsops::window::{Segmenter, Windows};
+
+/// The MERLIN length sweep stage 3 runs for a selected window of `window_len`
+/// points: `merlin_min_len..=min(merlin_max_len, window_len)` in steps of
+/// `merlin_step`.
+pub fn merlin_sweep(cfg: &TriadConfig, window_len: usize) -> MerlinConfig {
+    let max_len = cfg.merlin_max_len.min(window_len.max(cfg.merlin_min_len));
+    MerlinConfig::new(cfg.merlin_min_len.min(max_len).max(2), max_len).with_step(cfg.merlin_step)
+}
 
 /// Per-domain window-similarity ranking (the data behind Fig. 11).
 #[derive(Debug, Clone, PartialEq)]
@@ -415,6 +424,8 @@ fn detect_from_rankings_inner(
     };
 
     // --- Stage 3: MERLIN around the selected window ---
+    // The sweep runs on the MASS/STOMP profile kernel; the exact ladder
+    // (`discord::merlin::merlin`) is its oracle (DESIGN.md "Discord kernel").
     let l = selected_window.len();
     let pad = (cfg.merlin_pad_windows * l as f64) as usize;
     let region_start = selected_window.start.saturating_sub(pad);
@@ -422,13 +433,11 @@ fn detect_from_rankings_inner(
     let search_region = region_start..region_end;
     let region = &test[search_region.clone()];
 
-    let max_len = cfg.merlin_max_len.min(l.max(cfg.merlin_min_len));
-    let sweep = MerlinConfig::new(cfg.merlin_min_len.min(max_len).max(2), max_len)
-        .with_step(cfg.merlin_step);
+    let sweep = merlin_sweep(cfg, l);
     let discords: Vec<Discord> = {
         let mut s = obs::span("discord");
         s.add_field("region_len", region.len());
-        let found: Vec<Discord> = merlin_mode(region, sweep, cfg.numeric_mode)
+        let found: Vec<Discord> = merlin_fast(region, sweep)
             .into_iter()
             .map(|d| Discord {
                 index: d.index + region_start,

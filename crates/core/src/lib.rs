@@ -62,10 +62,9 @@ pub mod pipeline;
 pub mod train;
 
 pub use config::TriadConfig;
-pub use detect::{detect_from_rankings, DomainRanking, OnlineRanker, TriadDetection};
+pub use detect::{detect_from_rankings, merlin_sweep, DomainRanking, OnlineRanker, TriadDetection};
 pub use error::{DetectError, PersistError};
 pub use pipeline::{FittedTriad, TriAd};
-pub use tsops::NumericMode;
 
 /// The three feature domains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -144,15 +144,6 @@ impl FittedTriad {
         self.cfg.threads = threads;
     }
 
-    /// Select the numeric kernel family for this model's detect hot path.
-    /// Like [`set_threads`](FittedTriad::set_threads) this is not persisted:
-    /// `Exact` keeps the bit-identical reference kernels, `Fast` swaps the
-    /// discord stage onto the tolerance-equivalent MASS profile kernels
-    /// (same discord indices, distances within 1e-6 relative).
-    pub fn set_numeric_mode(&mut self, mode: tsops::NumericMode) {
-        self.cfg.numeric_mode = mode;
-    }
-
     /// Run stages 2–4 (selection, MERLIN, voting) from externally produced
     /// stage-1 rankings. With rankings from an [`OnlineRanker`] fed the same
     /// windows, the result equals [`detect`](FittedTriad::detect) exactly.

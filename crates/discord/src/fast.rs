@@ -1,6 +1,6 @@
-//! Fast-mode discord kernels: full self-join distance profiles via FFT-seeded
-//! diagonal recurrences (STOMP-style), replacing the exact ladder's
-//! per-candidate distance loops.
+//! The pipeline's discord kernels: full self-join distance profiles via
+//! FFT-seeded diagonal recurrences (STOMP-style), in place of the exact
+//! ladder's per-candidate distance loops.
 //!
 //! The exact path ([`crate::merlin::merlin`]) drives DRAG with an adaptive
 //! range `r`, paying `O(n·w)` per candidate distance. This module computes,
@@ -12,11 +12,11 @@
 //!
 //! Numeric contract: the recurrence reassociates float sums, so results are
 //! **tolerance-equivalent** to the exact kernels (same discord indices,
-//! distances within 1e-6 relative — gated by `tests/numeric_equivalence.rs`),
-//! not bit-identical to them. Within fast mode, results are bit-identical at
-//! any thread count: each diagonal is a pure function of the input, and the
-//! only cross-worker merge is an element-wise `f64::max`, which is exactly
-//! associative and commutative.
+//! distances within 1e-5 absolute + 1e-6 relative — gated by
+//! `tests/numeric_equivalence.rs`), not bit-identical to them. They are
+//! bit-identical to themselves at any thread count: each diagonal is a pure
+//! function of the input, and the only cross-worker merge is an element-wise
+//! `f64::max`, which is exactly associative and commutative.
 //!
 //! Degenerate (σ ≈ 0) windows follow the conventions of
 //! [`tsops::distance::ZnormSeries`] and `tsops::mass::mass`:
@@ -41,7 +41,7 @@ const DIAG_BLOCK: usize = 8;
 
 /// A per-length search must report *something* ≥ this to count as a discord;
 /// below it the exact ladder would have exhausted its retries and yielded
-/// nothing for the length, so fast mode mirrors that with `None`.
+/// nothing for the length, so this kernel mirrors that with `None`.
 const MIN_DISCORD_DIST: f64 = 1e-9;
 
 // numeric-mode(fast): diagonal dot-product recurrences reassociate float sums;
@@ -153,7 +153,7 @@ pub fn self_join_profile(series: &[f64], w: usize, plan: &SelfJoinPlan) -> Vec<f
 }
 
 // numeric-mode(fast): the dot recurrence accumulates in diagonal order, not
-// element order; sanctioned reassociation behind the fast numeric mode.
+// element order; reassociation gated by the tolerance-equivalence harness.
 /// Walk `B` adjacent diagonals `k..k+B` together, folding each cell's
 /// correlation into `best[i]` (row side) and `best[j]` (column side). `B` is
 /// a compile-time constant so the inner loops unroll and vectorize.
@@ -272,7 +272,7 @@ fn fix_degenerate(degenerate: &[bool], w: usize, nsub: usize, dist_sq: &mut [f64
     }
 }
 
-/// Fast-mode DRAG: every subsequence whose nearest-neighbour distance is
+/// Profile-kernel DRAG: every subsequence whose nearest-neighbour distance is
 /// ≥ `r`, sorted by distance descending (ties broken by ascending index,
 /// matching [`crate::drag::drag`]'s stable sort). Partnerless windows
 /// (profile = ∞) are dropped, like exact DRAG's `is_finite()` refinement.
@@ -292,7 +292,7 @@ pub fn drag_fast(series: &[f64], w: usize, r: f64, plan: &SelfJoinPlan) -> Vec<D
     out
 }
 
-/// Fast-mode MERLIN: the top-1 discord at each swept length, computed from
+/// Profile-kernel MERLIN: the top-1 discord at each swept length, computed from
 /// the full profile instead of the adaptive-`r` ladder. Sweeps the identical
 /// length list as [`crate::merlin::merlin`] (see
 /// [`crate::merlin::swept_lengths`]); a length yields `None` exactly when its

@@ -20,10 +20,9 @@
 //!   accelerated with an Orchard-style reference-point index whose triangle-
 //!   inequality bound prunes nearest-neighbour refinement. Same accuracy by
 //!   construction, faster on large inputs.
-//! * [`fast`] — the tolerance-gated fast numeric mode: full per-length
-//!   distance profiles via FFT-seeded diagonal recurrences, selected at
-//!   runtime through [`merlin_mode`] when
-//!   [`tsops::NumericMode::Fast`] is configured.
+//! * [`fast`] — the pipeline's discord kernel: full per-length distance
+//!   profiles via FFT-seeded diagonal recurrences, tolerance-equivalent to
+//!   [`merlin`] (which stays as its oracle and drives the paper's tables).
 //!
 //! All algorithms share [`tsops::distance::ZnormSeries`] for O(w) distances
 //! and use the standard self-match exclusion zone `|i − j| ≥ w`.
@@ -36,19 +35,6 @@ pub mod matrix_profile;
 pub mod merlin;
 pub mod merlin_pp;
 pub mod stomp;
-
-use merlin::MerlinConfig;
-use tsops::NumericMode;
-
-/// Run the MERLIN length sweep with the kernels selected by `mode`:
-/// [`merlin::merlin`] (exact ladder, bit-identical) or
-/// [`fast::merlin_fast`] (MASS profile kernels, tolerance-equivalent).
-pub fn merlin_mode(series: &[f64], cfg: MerlinConfig, mode: NumericMode) -> Vec<Discord> {
-    match mode {
-        NumericMode::Exact => merlin::merlin(series, cfg),
-        NumericMode::Fast => fast::merlin_fast(series, cfg),
-    }
-}
 
 /// One discovered discord.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -57,7 +57,7 @@ impl MerlinConfig {
 /// from `min_len` by `step`, stopping at the first length the series cannot
 /// hold two non-overlapping subsequences of. Shared by the exact ladder
 /// ([`merlin`]) and the fast profile kernel ([`crate::fast::merlin_fast`]) so
-/// both modes explore the identical candidate length order.
+/// both kernels explore the identical candidate length order.
 pub fn swept_lengths(series_len: usize, cfg: MerlinConfig) -> Vec<usize> {
     let mut lengths = Vec::new();
     let mut w = cfg.min_len;

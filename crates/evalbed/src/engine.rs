@@ -19,7 +19,6 @@ use crate::rows::{self, ResultRow};
 use crate::summary::{RunMeta, Summary};
 use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
-use triad_core::NumericMode;
 use triad_serve::{Metrics, ModelRegistry};
 use ucrgen::archive::generate_dataset;
 use ucrgen::UcrDataset;
@@ -54,9 +53,6 @@ pub struct EvalbedOptions {
     pub archive_seed: u64,
     /// Worker threads (0 = auto, honouring `TRIAD_THREADS`).
     pub threads: usize,
-    /// Numeric kernel mode for TriAD detection (`exact` or `fast`). Not
-    /// part of the model cache key — fits are mode-independent.
-    pub numeric_mode: NumericMode,
     /// Keep existing rows and re-run only missing tasks.
     pub resume: bool,
     /// Disable the TriAD model cache (always refit).
@@ -84,7 +80,6 @@ impl EvalbedOptions {
             seed: 0,
             archive_seed: 7,
             threads: 0,
-            numeric_mode: NumericMode::Exact,
             resume: false,
             no_cache: false,
             models_dir: None,
@@ -228,9 +223,8 @@ pub fn run(opts: &EvalbedOptions) -> Result<RunOutcome, String> {
             .clone()
             .unwrap_or_else(|| opts.out_dir.join("models"));
         std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let mut reg = ModelRegistry::open(&dir, MODEL_CACHE_CAPACITY, Arc::new(Metrics::new()))
+        let reg = ModelRegistry::open(&dir, MODEL_CACHE_CAPACITY, Arc::new(Metrics::new()))
             .map_err(|e| format!("{}: {e}", dir.display()))?;
-        reg.set_numeric_mode(opts.numeric_mode);
         Some(Arc::new(RwLock::new(reg)))
     };
 
@@ -238,7 +232,6 @@ pub fn run(opts: &EvalbedOptions) -> Result<RunOutcome, String> {
         smoke: opts.smoke,
         epochs: opts.epochs,
         seed: opts.seed,
-        numeric_mode: opts.numeric_mode,
     };
 
     // Execute in fixed batches; append each batch's rows in task order.

@@ -22,7 +22,7 @@ use baselines::ts2vec_lite::{Ts2VecConfig, Ts2VecLite};
 use baselines::usad::{Usad, UsadConfig};
 use baselines::Detector;
 use std::sync::{Arc, RwLock};
-use triad_core::{NumericMode, TriAd, TriadConfig};
+use triad_core::{TriAd, TriadConfig};
 use triad_serve::ModelRegistry;
 use ucrgen::UcrDataset;
 
@@ -85,11 +85,6 @@ pub struct MethodConfig {
     pub smoke: bool,
     pub epochs: usize,
     pub seed: u64,
-    /// Numeric kernel mode for TriAD detection. Deliberately NOT part of
-    /// the cache key: fitting never runs the discord kernels, so a model
-    /// fitted under either mode is the same model — only `detect` differs,
-    /// and only within tolerance.
-    pub numeric_mode: NumericMode,
 }
 
 impl MethodConfig {
@@ -114,7 +109,6 @@ impl MethodConfig {
         };
         TriadConfig {
             stride_frac,
-            numeric_mode: self.numeric_mode,
             ..base
         }
     }
@@ -285,7 +279,6 @@ mod tests {
             smoke: true,
             epochs: 1,
             seed: 0,
-            numeric_mode: NumericMode::Exact,
         };
         for method in ["lstm_ae_random", "random"] {
             let out = run_method(method, &ds, &cfg, None).expect(method);
@@ -302,7 +295,6 @@ mod tests {
             smoke: true,
             epochs: 1,
             seed: 1,
-            numeric_mode: NumericMode::Exact,
         };
         let a = run_baseline("random", &ds, &cfg).expect("a");
         let b = run_baseline("random", &ds, &cfg).expect("b");

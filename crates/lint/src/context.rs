@@ -76,8 +76,9 @@ pub struct FileContext<'a> {
     /// Byte ranges covered by `#[cfg(test)]` / `#[test]` items.
     test_regions: Vec<(usize, usize)>,
     /// Byte ranges of items sanctioned by `// numeric-mode(fast): reason`
-    /// markers — fast-numeric kernels whose parallel float reductions are
-    /// tolerance-gated by tests rather than bit-exact by construction.
+    /// markers — reassociating kernels (such as the MASS discord profile)
+    /// whose parallel float reductions are tolerance-gated against an exact
+    /// oracle by tests rather than bit-exact against it by construction.
     /// Only populated in kernel-crate files.
     fast_numeric_regions: Vec<(usize, usize)>,
     /// All suppression annotations found in comments.
@@ -172,9 +173,9 @@ impl<'a> FileContext<'a> {
     }
 
     /// Is this byte inside an item sanctioned by `// numeric-mode(fast):
-    /// reason`? Such items opt out of the bit-exact reduction-order
-    /// contract (their equivalence is tolerance-tested instead); the
-    /// sanction exists only in kernel crates and only with a reason.
+    /// reason`? Such items opt out of the reduction-order contract against
+    /// their exact oracle (that equivalence is tolerance-tested instead);
+    /// the sanction exists only in kernel crates and only with a reason.
     pub fn in_fast_numeric(&self, byte: usize) -> bool {
         self.fast_numeric_regions
             .iter()
@@ -315,7 +316,8 @@ fn find_test_regions(src: &[u8], tokens: &[Tok], sig: &[usize]) -> Vec<(usize, u
 }
 
 /// Find byte ranges of items introduced by a `// numeric-mode(fast): reason`
-/// marker comment. Like suppressions, the marker must open the comment body
+/// marker comment. The marker names a kernel's numeric contract (tolerance-
+/// equivalent to an exact oracle), not a runtime setting. Like suppressions, the marker must open the comment body
 /// and carry a non-empty reason; like test regions, the covered range runs
 /// from the marker to the end of the item it introduces — the matching `}`
 /// of the first `{` opened after it, or the first top-level `;`.

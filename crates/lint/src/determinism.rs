@@ -17,9 +17,9 @@
 //!   partitioning; route the arithmetic through `parallel::reduce::*`
 //!   (exact serial order, and the helpers' spellings do not match the
 //!   flagged patterns). Sanctioned: items under a `// numeric-mode(fast):
-//!   reason` marker in kernel crates — the opt-in fast-numeric kernels,
-//!   whose equivalence to the exact path is tolerance-tested and whose
-//!   thread-count invariance is proved by its own bit-identity tests.
+//!   reason` marker in kernel crates — reassociating kernels whose
+//!   equivalence to their exact oracle is tolerance-tested and whose
+//!   thread-count invariance is proved by their own bit-identity tests.
 //! * **`ambient-entropy`** — `SystemTime::now`, `RandomState` (the seeded
 //!   per-process hasher), `env::var` reads outside the sanctioned config
 //!   layer (`parallel`, `obs`, `neuro` own the three TRIAD_* knobs), and —
@@ -410,8 +410,8 @@ fn float_reduce_order(cx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         let mut j = i + 2;
         while j < close {
             // Items under a `// numeric-mode(fast): reason` marker are the
-            // sanctioned fast-numeric kernels: their reductions are
-            // tolerance-gated against the exact path by tests (and still
+            // sanctioned reassociating kernels: their reductions are
+            // tolerance-gated against an exact oracle by tests (and still
             // thread-count-invariant by construction), not bit-exact.
             if cx.in_fast_numeric(cx.stok(j).start) {
                 j += 1;

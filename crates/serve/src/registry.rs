@@ -26,7 +26,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use triad_core::{persist, FittedTriad, NumericMode};
+use triad_core::{persist, FittedTriad};
 
 /// Move-only wrapper making a fitted model transferable across threads.
 pub struct SendModel(pub FittedTriad);
@@ -97,10 +97,6 @@ pub struct ModelRegistry {
     /// (0 = auto). A pure performance knob — detections are bit-identical
     /// at any value — so it is registry-wide, not persisted per model.
     threads: usize,
-    /// Numeric kernel mode applied to every model this registry hands out.
-    /// Like `threads` it is a serving-time knob, not persisted per model:
-    /// within either mode results are bit-identical across thread counts.
-    numeric_mode: NumericMode,
 }
 
 /// `<name>.triad` under the models directory.
@@ -159,7 +155,6 @@ impl ModelRegistry {
             capacity: capacity.max(1),
             metrics,
             threads: 0,
-            numeric_mode: NumericMode::default(),
         })
     }
 
@@ -167,12 +162,6 @@ impl ModelRegistry {
     /// (0 = auto; already-cached instances keep their setting).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
-    }
-
-    /// Numeric kernel mode applied to models as they are loaded or saved
-    /// (already-cached instances keep their setting).
-    pub fn set_numeric_mode(&mut self, mode: NumericMode) {
-        self.numeric_mode = mode;
     }
 
     pub fn dir(&self) -> &Path {
@@ -192,7 +181,6 @@ impl ModelRegistry {
     pub fn save_fitted(&mut self, name: &str, mut fitted: FittedTriad) -> Result<(), String> {
         validate_name(name)?;
         fitted.set_threads(self.threads);
-        fitted.set_numeric_mode(self.numeric_mode);
         let final_path = self.dir.join(format!("{name}.{MODEL_EXT}"));
         let tmp_path = self.dir.join(format!(".{name}.{MODEL_EXT}.tmp"));
         persist::save_file(&tmp_path, &fitted).map_err(|e| format!("save {name}: {e}"))?;
@@ -247,7 +235,6 @@ impl ModelRegistry {
             let mut fitted =
                 persist::load_file(&slot.path).map_err(|e| format!("load {}: {e}", slot.name))?;
             fitted.set_threads(self.threads);
-            fitted.set_numeric_mode(self.numeric_mode);
             *guard = Some(SendModel(fitted));
         }
         self.touch(slot);

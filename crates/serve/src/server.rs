@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use triad_core::{persist, NumericMode, TriAd, TriadConfig};
+use triad_core::{persist, TriAd, TriadConfig};
 use triad_fleet::{FleetConfig, FleetManager, FleetStats, RefitRequest, Refitter};
 use triad_stream::{
     CloseReport, ManagerConfig, PushTicket, ShardMetrics, StreamError, StreamManager, StreamStatus,
@@ -48,10 +48,6 @@ pub struct ServeConfig {
     /// how many requests run at once, this decides how many cores one
     /// request uses. Results are bit-identical at any value.
     pub threads: usize,
-    /// Numeric kernel mode for detection (`exact` keeps the bit-exact
-    /// reference kernels; `fast` switches to the FFT-backed MASS discord
-    /// kernels — tolerance-equivalent, bit-identical within the mode).
-    pub numeric_mode: NumericMode,
     /// Batch executor threads.
     pub executors: usize,
     /// Detect batch closes at this many requests…
@@ -87,7 +83,6 @@ impl Default for ServeConfig {
             models_dir: PathBuf::from("models"),
             workers: 4,
             threads: 0,
-            numeric_mode: NumericMode::default(),
             executors: 2,
             max_batch: 16,
             max_delay_ms: 20,
@@ -268,7 +263,6 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let mut registry =
         ModelRegistry::open(&cfg.models_dir, cfg.cache_capacity, Arc::clone(&metrics))?;
     registry.set_threads(cfg.threads);
-    registry.set_numeric_mode(cfg.numeric_mode);
     let policy = BatchPolicy {
         max_batch: cfg.max_batch.max(1),
         max_delay: Duration::from_millis(cfg.max_delay_ms),
@@ -280,13 +274,11 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     // replies, so a fit→stream.open sequence always sees the file.
     let models_dir = cfg.models_dir.clone();
     let detect_threads = cfg.threads;
-    let detect_numeric_mode = cfg.numeric_mode;
     let loader: triad_stream::ModelLoader = Arc::new(move |name: &str| {
         let path = models_dir.join(format!("{name}.triad"));
         persist::load_file(&path)
             .map(|mut m| {
                 m.set_threads(detect_threads);
-                m.set_numeric_mode(detect_numeric_mode);
                 m
             })
             .map_err(|e| format!("load model {name:?}: {e}"))

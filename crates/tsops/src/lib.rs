@@ -31,11 +31,9 @@ pub mod distance;
 pub mod fft;
 pub mod filter;
 pub mod mass;
-pub mod numeric;
 pub mod sliding;
 pub mod spectral;
 pub mod stats;
 pub mod window;
 
 pub use fft::Complex;
-pub use numeric::NumericMode;

@@ -1,22 +1,20 @@
-//! The tolerance-equivalence matrix for the numeric modes (DESIGN.md
-//! "numeric modes").
+//! The tolerance-equivalence gate for the pipeline's discord kernel
+//! (DESIGN.md "Discord kernel").
 //!
-//! `--numeric-mode fast` swaps the detect pipeline's discord stage from the
-//! exact adaptive-`r` MERLIN ladder onto the MASS-backed profile kernels
-//! (`discord::fast`). The contract this file gates:
+//! Stage 3 of `detect` runs the MASS/STOMP profile kernel
+//! (`discord::fast::merlin_fast`). The exact adaptive-`r` MERLIN ladder
+//! (`discord::merlin::merlin`) stays as its oracle. The contract this file
+//! gates:
 //!
-//! * **Same discords.** For every archive anomaly kind, at 1 and 4 threads,
-//!   fast mode reports the identical discord `(index, length)` sequence as
-//!   exact mode, with distances within 1e-6 relative. Since voting consumes
-//!   only discord positions (never distances), everything downstream —
-//!   votes, prediction, threshold, fallback flag — must be *bit*-equal, as
-//!   must the mode-independent stages upstream (rankings, candidates,
-//!   selected window, search region).
-//! * **Fast is deterministic too.** Within fast mode, detection is
-//!   bit-identical across thread counts, exactly like exact mode
-//!   (`parallel_determinism.rs`): the only cross-worker merge in the fast
-//!   kernel is an element-wise `f64::max`.
-//! * **Same length ladder.** Both modes draw candidate lengths from
+//! * **Same discords as the oracle.** For every archive anomaly kind, at 1
+//!   and 4 threads, the exact ladder run over the detection's own
+//!   `search_region` with the pipeline's sweep reports the identical
+//!   discord `(index, length)` sequence as the pipeline, with distances
+//!   within 1e-5 absolute + 1e-6 relative. Voting consumes only discord
+//!   positions, so everything downstream is what the oracle would give.
+//! * **Deterministic.** Detection is bit-identical across thread counts:
+//!   the only cross-worker merge in the kernel is an element-wise `f64::max`.
+//! * **Same length ladder.** Both kernels draw candidate lengths from
 //!   `discord::merlin::swept_lengths`, so they explore the identical length
 //!   sequence — the regression probe that keeps the two sweeps from
 //!   drifting apart.
@@ -24,100 +22,72 @@
 mod common;
 
 use common::{dataset_of, quick_cfg, KINDS};
-use triad_core::{NumericMode, TriAd, TriadDetection};
+use discord::merlin::merlin;
+use triad_core::{merlin_sweep, TriAd, TriadConfig, TriadDetection};
 
-/// Fast-vs-exact discord distance tolerance, per the DESIGN.md contract:
+/// Kernel-vs-oracle discord distance tolerance, per the DESIGN.md contract:
 /// 1e-6 relative plus a 1e-5 absolute floor for near-zero distances, where
 /// the final square root amplifies FFT round-off ε into √ε.
-fn close(fast: f64, exact: f64) -> bool {
-    (fast - exact).abs() <= 1e-5 + 1e-6 * exact.abs()
+fn close(kernel: f64, exact: f64) -> bool {
+    (kernel - exact).abs() <= 1e-5 + 1e-6 * exact.abs()
 }
 
-fn assert_equivalent(label: &str, exact: &TriadDetection, fast: &TriadDetection) {
-    // Discords: identical (index, length) sequence, distances within 1e-6.
+/// Run the exact ladder over `det`'s search region with the sweep the
+/// pipeline used, and check the pipeline's discords against it.
+fn assert_matches_oracle(label: &str, cfg: &TriadConfig, test: &[f64], det: &TriadDetection) {
+    let region = det.search_region.clone();
+    let sweep = merlin_sweep(cfg, det.selected_window.len());
+    let oracle = merlin(&test[region.clone()], sweep);
+    assert!(!oracle.is_empty(), "{label}: no discords to compare");
     assert_eq!(
-        exact.discords.len(),
-        fast.discords.len(),
+        oracle.len(),
+        det.discords.len(),
         "{label}: discord counts differ"
     );
-    for (e, f) in exact.discords.iter().zip(&fast.discords) {
+    for (e, k) in oracle.iter().zip(&det.discords) {
         assert_eq!(
-            (e.index, e.length),
-            (f.index, f.length),
+            (e.index + region.start, e.length),
+            (k.index, k.length),
             "{label}: discord position differs"
         );
         assert!(
-            close(f.distance, e.distance),
+            close(k.distance, e.distance),
             "{label}: length {} distance {} vs exact {}",
             e.length,
-            f.distance,
+            k.distance,
             e.distance
         );
     }
-    // Stages 1–2 never touch the discord kernels, and voting consumes only
-    // discord positions — so everything except the distances is bit-equal.
-    assert_eq!(exact.rankings, fast.rankings, "{label}: rankings differ");
-    assert_eq!(
-        exact.candidates, fast.candidates,
-        "{label}: candidates differ"
-    );
-    assert_eq!(
-        exact.selected_window, fast.selected_window,
-        "{label}: selected window differs"
-    );
-    assert_eq!(
-        exact.search_region, fast.search_region,
-        "{label}: search region differs"
-    );
-    assert_eq!(exact.votes, fast.votes, "{label}: votes differ");
-    assert_eq!(
-        exact.prediction, fast.prediction,
-        "{label}: prediction differs"
-    );
-    assert_eq!(
-        exact.threshold, fast.threshold,
-        "{label}: threshold differs"
-    );
-    assert_eq!(
-        exact.used_fallback, fast.used_fallback,
-        "{label}: fallback flag differs"
-    );
 }
 
 #[test]
-fn fast_mode_matches_exact_for_every_kind_and_thread_count() {
+fn pipeline_discords_match_the_exact_oracle_for_every_kind_and_thread_count() {
     for (i, kind) in KINDS.into_iter().enumerate() {
         let ds = dataset_of(kind);
         for threads in [1usize, 4] {
             let mut cfg = quick_cfg(i as u64);
             cfg.threads = threads;
-            let mut fitted = TriAd::new(cfg).fit(ds.train()).expect("fit");
-            let exact = fitted.detect(ds.test());
-            fitted.set_numeric_mode(NumericMode::Fast);
-            let fast = fitted.detect(ds.test());
-            assert_equivalent(&format!("{kind:?}/{threads}t"), &exact, &fast);
+            let fitted = TriAd::new(cfg.clone()).fit(ds.train()).expect("fit");
+            let det = fitted.detect(ds.test());
+            assert_matches_oracle(&format!("{kind:?}/{threads}t"), &cfg, ds.test(), &det);
         }
     }
 }
 
 #[test]
-fn fast_mode_is_bit_identical_across_thread_counts_for_every_kind() {
+fn pipeline_detection_is_bit_identical_across_thread_counts_for_every_kind() {
     for (i, kind) in KINDS.into_iter().enumerate() {
         let ds = dataset_of(kind);
         let mut fitted = TriAd::new(quick_cfg(i as u64))
             .fit(ds.train())
             .expect("fit");
-        fitted.set_numeric_mode(NumericMode::Fast);
         let mut reference: Option<TriadDetection> = None;
         for t in [1usize, 2, 4, 8] {
             fitted.set_threads(t);
             let det = fitted.detect(ds.test());
             match &reference {
                 None => reference = Some(det),
-                Some(r) => assert_eq!(
-                    &det, r,
-                    "{kind:?}: fast-mode detection differs at {t} threads"
-                ),
+                Some(r) => assert_eq!(&det, r, "{kind:?}: detection differs at {t} threads"),
             }
         }
     }
@@ -126,7 +96,7 @@ fn fast_mode_is_bit_identical_across_thread_counts_for_every_kind() {
 #[test]
 fn fast_and_exact_sweep_the_identical_length_ladder() {
     use discord::fast::merlin_fast;
-    use discord::merlin::{merlin, swept_lengths, MerlinConfig};
+    use discord::merlin::{swept_lengths, MerlinConfig};
 
     let ds = common::easy_dataset();
     let test = ds.test();
@@ -136,7 +106,7 @@ fn fast_and_exact_sweep_the_identical_length_ladder() {
 
     let exact: Vec<usize> = merlin(test, sweep).iter().map(|d| d.length).collect();
     let fast: Vec<usize> = merlin_fast(test, sweep).iter().map(|d| d.length).collect();
-    assert_eq!(exact, fast, "modes visited different length sequences");
+    assert_eq!(exact, fast, "kernels visited different length sequences");
 
     // Both sequences are drawn in order from the shared ladder: each reported
     // length appears at a strictly later ladder position than the previous.
