@@ -26,8 +26,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use triad_core::{TriAd, TriadConfig};
-use triad_fleet::{DriftPolicy, FleetConfig, FleetManager, RefitRequest, Refitter};
-use triad_stream::ModelLoader;
+use triad_fleet::{DriftPolicy, FleetConfig, FleetManager, ModelLoader, RefitRequest, Refitter};
 
 /// Thread counts the soak is swept over (a subset of the bench sweep — the
 /// fleet soak is wall-clock heavy, and two points prove the contract).
@@ -238,7 +237,7 @@ fn soak(
         FleetConfig {
             shards: 2,
             queue_capacity: 512,
-            store_dir: store_dir.clone(),
+            store_dir: Some(store_dir.clone()),
             budget_bytes: budget,
             drift: DriftPolicy {
                 slack_sigma: 1.0,

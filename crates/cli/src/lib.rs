@@ -97,6 +97,16 @@ impl Cli {
                 ));
             }
         }
+        // A saved model is already trained: its training flags would be
+        // silently unused.
+        if matches!(verb, "detect" | "stream") && self.get("model").is_some() {
+            let training = ["train", "epochs", "seed", "merlin-step"];
+            if let Some(key) = training.iter().find(|k| self.get(k).is_some()) {
+                return Err(format!(
+                    "triad {verb}: --{key} does not apply with --model (the model is already trained)"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -132,7 +142,7 @@ const VERB_FLAGS: &[(&str, &[&str], &[&str])] = &[
         "request-timeout-ms", "idle-timeout-ms", "cache", "threads", "stream-shards",
         "stream-queue", "stream-checkpoints", "fleet-budget"], &[]),
     ("client", &["verb", "addr", "timeout-ms", "model", "series", "train", "epochs", "seed",
-        "merlin_step", "stream", "format"], &[]),
+        "merlin-step", "stream", "format"], &[]),
     ("stream", &["test", "model", "train", "epochs", "seed", "merlin-step", "chunk", "enter",
         "exit", "checkpoint-at", "threads"], &[]),
     ("stream --addr", &["addr", "model", "test", "stream", "chunk", "timeout-ms"], &[]),
@@ -153,8 +163,8 @@ triad — self-supervised tri-domain time-series anomaly detection
 USAGE:
   triad fit    --train FILE --model FILE [--epochs N] [--seed N]
                [--merlin-step N] [--threads N]
-  triad detect --test FILE (--train FILE [--epochs N] [--seed N] | --model FILE)
-               [--merlin-step N] [--labels FILE] [--threads N]
+  triad detect --test FILE (--model FILE | --train FILE [--epochs N] [--seed N]
+               [--merlin-step N]) [--labels FILE] [--threads N]
   triad gen    --out FILE [--seed N] [--id N]
   triad eval   --pred FILE --labels FILE
   triad serve  [--addr HOST:PORT] [--models DIR] [--workers N] [--executors N]
@@ -164,9 +174,9 @@ USAGE:
                [--fleet-budget BYTES]
   triad client --verb VERB [--addr HOST:PORT] [--timeout-ms N] [--model NAME]
                [--series FILE] [--train FILE] [--epochs N] [--seed N]
-               [--merlin_step N] [--stream NAME] [--format text]
-  triad stream --test FILE (--model FILE | --train FILE [--epochs N] [--seed N])
-               [--merlin-step N] [--chunk N] [--enter X] [--exit X]
+               [--merlin-step N] [--stream NAME] [--format text]
+  triad stream --test FILE (--model FILE | --train FILE [--epochs N] [--seed N]
+               [--merlin-step N]) [--chunk N] [--enter X] [--exit X]
                [--checkpoint-at N] [--threads N]
   triad stream --addr HOST:PORT --model NAME --test FILE
                [--stream NAME] [--chunk N] [--timeout-ms N]
@@ -183,16 +193,18 @@ USAGE:
 
 Series files hold one sample per line (UCR archive format accepted).
 Each verb accepts only the flags listed for it; any other flag, a switch
-given a value, or a value flag given none exits 2.
+given a value, or a value flag given none exits 2. With --model, `detect`
+and `stream` also reject the training flags (--train, --epochs, --seed,
+--merlin-step).
 `detect` prints the flagged region; with --labels it also prints metrics.
 `gen` writes a synthetic dataset named with the UCR convention next to --out.
 `serve` blocks until a client sends the shutdown verb; `client` verbs are
 health, list, stats (add --format text for the plain-text dump), fit,
 detect, evict, shutdown, and the stream.* family — responses print as one
-JSON line. --fleet-budget BYTES switches the server's stream tier to the
-memory-budgeted fleet: idle streams are LRU-evicted to checkpoints and
-rehydrated bit-identically on the next touch, and sustained drift triggers
-background refits (0 = fleet tier with no byte cap).
+JSON line. Open streams stay resident unless --fleet-budget BYTES caps them:
+idle streams are then LRU-evicted to checkpoints (in --stream-checkpoints,
+else <models>/_fleet) and rehydrated bit-identically on the next touch, and
+sustained drift triggers background refits (0 = refits with no byte cap).
 `stream` replays --test as a live feed through the incremental engine in
 --chunk-sized pushes (default 64) and prints hysteresis events plus the
 final offline-equivalent detection. Without --addr it runs in-process
@@ -454,9 +466,15 @@ fn cmd_client(cli: &Cli) -> Result<Vec<String>, String> {
         "fit" => {
             let train = read_series(Path::new(cli.require("train")?))?;
             let mut extra: Vec<(&str, Value)> = Vec::new();
-            for key in ["epochs", "seed", "merlin_step"] {
-                if let Some(v) = cli.get(key) {
-                    let n: u64 = v.parse().map_err(|_| format!("--{key}: bad value {v:?}"))?;
+            for (flag, key) in [
+                ("epochs", "epochs"),
+                ("seed", "seed"),
+                ("merlin-step", "merlin_step"),
+            ] {
+                if let Some(v) = cli.get(flag) {
+                    let n: u64 = v
+                        .parse()
+                        .map_err(|_| format!("--{flag}: bad value {v:?}"))?;
                     extra.push((key, Value::Num(n as f64)));
                 }
             }
@@ -846,6 +864,27 @@ mod tests {
         let cli = Cli::parse(&argv(&["x", "--smoke", "--out-dir", "d"])).unwrap();
         assert_eq!(cli.get("smoke"), Some(""));
         assert_eq!(cli.get("out-dir"), Some("d"));
+        // With --model, detect and local stream reject every training flag,
+        // naming it; the same flags stay valid without --model.
+        for verb in ["detect", "stream"] {
+            for (flag, value) in [
+                ("--train", "t.txt"),
+                ("--epochs", "3"),
+                ("--seed", "1"),
+                ("--merlin-step", "4"),
+            ] {
+                let args = [verb, "--test", "t.txt", "--model", "m", flag, value];
+                let err = Cli::parse(&argv(&args)).unwrap_err();
+                assert!(err.contains(flag) && err.contains("--model"), "{err}");
+                let args = [verb, "--test", "t.txt", "--train", "t.txt", flag, value];
+                assert!(Cli::parse(&argv(&args)).is_ok(), "{args:?}");
+            }
+        }
+        // `client` spells the flag like every other verb; `--merlin_step`
+        // is unknown.
+        let cli = Cli::parse(&argv(&["client", "--verb", "fit", "--merlin-step", "4"])).unwrap();
+        assert_eq!(cli.get("merlin-step"), Some("4"));
+        assert!(Cli::parse(&argv(&["client", "--verb", "fit", "--merlin_step", "4"])).is_err());
     }
 
     #[test]

@@ -104,6 +104,18 @@ fn unknown_and_inapplicable_flags_exit_2_naming_the_flag() {
             "--numeric-mode",
         ),
         (&["trace", "--bogus-flag", "7"][..], "--bogus-flag"),
+        (
+            &[
+                "detect", "--test", "t.txt", "--model", "m.triad", "--epochs", "3",
+            ][..],
+            "--epochs",
+        ),
+        (
+            &[
+                "stream", "--test", "t.txt", "--model", "m.triad", "--train", "t.txt",
+            ][..],
+            "--train",
+        ),
         (&["gen", "--out", "d", "--stages", "train"][..], "--stages"),
         (&["bench", "--smoke", "yes"][..], "--smoke"),
     ] {
@@ -256,7 +268,7 @@ fn serve_and_client_round_trip_over_the_binary() {
         "2",
         "--seed",
         "3",
-        "--merlin_step",
+        "--merlin-step",
         "4",
     ]);
     assert_eq!(code, Some(0), "{body}");

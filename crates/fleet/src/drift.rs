@@ -28,11 +28,10 @@
 use triad_core::FittedTriad;
 use tsops::window::Segmenter;
 
-/// Knobs for the drift test and the refit it triggers.
+/// Knobs for the drift test and the refit it triggers. Drift runs only on
+/// a manager given a refitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftPolicy {
-    /// Master switch; `false` disables drift detection and refits.
-    pub enabled: bool,
     /// `k` in the CUSUM slack `μ + k·σ`: how many training-σ above the
     /// training mean a deviance must be before it accumulates.
     pub slack_sigma: f64,
@@ -60,7 +59,6 @@ pub struct DriftPolicy {
 impl Default for DriftPolicy {
     fn default() -> Self {
         DriftPolicy {
-            enabled: true,
             slack_sigma: 3.0,
             slack_floor: 0.05,
             threshold: 0.75,

@@ -1,8 +1,11 @@
-//! # triad-fleet — the memory-budgeted million-stream tier
+//! # triad-fleet — the sharded stream manager
 //!
-//! `triad_stream::StreamManager` keeps every engine hot in RAM forever, so
-//! fleet size is bounded by memory rather than by the model. This crate
-//! layers state tiering on top of the same sharded architecture:
+//! [`FleetManager`] hosts every live stream of the workspace: serve's
+//! `stream.*` verbs, `triad trace` and the `triad fleet` soak all run on
+//! it. Stream names hash to worker shards with bounded ingest queues. A
+//! zero byte budget keeps every engine resident, no checkpoint store keeps
+//! nothing on disk, and no [`Refitter`] runs no drift detection; each
+//! piece below switches on with its knob:
 //!
 //! * [`budget`] — a per-shard byte ledger over
 //!   `StreamEngine::estimated_bytes` with logical-clock LRU ordering. When
@@ -25,11 +28,9 @@
 //!   schedules a background **refit** through a caller-supplied
 //!   [`Refitter`] (the serve tier wires this to its `ModelRegistry`), and
 //!   the refreshed model is swapped in at a deterministic window boundary
-//!   of the stream — never mid-batch, never reordering in-flight scores.
-//! * [`manager`] — the [`FleetManager`] itself: FNV-sharded worker threads
-//!   with bounded queues, mirroring `StreamManager`'s surface (`open`,
-//!   `push`, `poll`, `close`, `checkpoint`, `streams`) so the serve tier
-//!   can host either interchangeably.
+//!   of the stream, never reordering in-flight scores.
+//! * [`manager`] — the [`FleetManager`] itself: `open`, `push`, `poll`,
+//!   `close`, `checkpoint` and `streams` over FNV-sharded worker threads.
 //!
 //! Determinism: eviction order uses logical touch ticks (never wall
 //! clock), byte estimates derive from collection lengths only, the drift
@@ -46,5 +47,8 @@ pub mod store;
 
 pub use budget::BudgetLedger;
 pub use drift::{DriftBaseline, DriftDetector, DriftPolicy, DriftSignal};
-pub use manager::{FleetConfig, FleetManager, FleetStats, RefitRequest, Refitter};
+pub use manager::{
+    CloseReport, FleetConfig, FleetManager, FleetStats, ModelLoader, PushTicket, RefitRequest,
+    Refitter,
+};
 pub use store::CheckpointStore;

@@ -19,9 +19,10 @@
 //!
 //! The server also hosts the online streaming layer: `stream.open`,
 //! `stream.push`, `stream.poll`, `stream.close`, `stream.checkpoint`, and
-//! `stream.list` route to a [`triad_stream::StreamManager`] whose shard
-//! workers load models from the same directory as the registry; per-shard
-//! streaming counters ride along in the `stats` verb.
+//! `stream.list` route to a [`FleetManager`] whose shard workers load
+//! models from the same directory as the registry. It is unbounded unless
+//! `ServeConfig::fleet_budget_bytes` is set; per-shard streaming counters
+//! and the fleet block ride along in the `stats` verb.
 //!
 //! [`client`] is the matching blocking client used by `triad client` and the
 //! integration tests; [`json`] is the dependency-free JSON layer whose
@@ -46,3 +47,6 @@ pub use json::Value;
 pub use metrics::{Histogram, HistogramSnapshot, Metrics};
 pub use registry::{ModelInfo, ModelRegistry, SendModel};
 pub use server::{start, ServeConfig, ServerHandle};
+/// The stream manager behind the `stream.*` verbs, for front ends that
+/// host streams in-process.
+pub use triad_fleet::{FleetConfig, FleetManager};

@@ -29,10 +29,8 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use triad_core::{persist, TriAd, TriadConfig};
-use triad_fleet::{FleetConfig, FleetManager, FleetStats, RefitRequest, Refitter};
-use triad_stream::{
-    CloseReport, ManagerConfig, PushTicket, ShardMetrics, StreamError, StreamManager, StreamStatus,
-};
+use triad_fleet::{FleetConfig, FleetManager, FleetStats, ModelLoader, RefitRequest, Refitter};
+use triad_stream::ShardMetrics;
 
 /// Server tunables. `Default` suits tests and local runs.
 #[derive(Debug, Clone)]
@@ -64,15 +62,18 @@ pub struct ServeConfig {
     pub stream_shards: usize,
     /// Bounded ingest-queue depth per stream shard (backpressure valve).
     pub stream_queue: usize,
-    /// Where stream checkpoints live; `None` disables checkpointing (a
-    /// restarted server then starts with no open streams).
+    /// Where stream checkpoint generations (`{stream}.g{gen:08}.ckpt`)
+    /// live. A restarted server adopts every stream found there and
+    /// rehydrates it on first touch. `None` disables checkpointing (a
+    /// restarted server then starts with no open streams) unless a fleet
+    /// budget is set, which falls back to `models_dir/_fleet`.
     pub stream_checkpoint_dir: Option<PathBuf>,
-    /// `Some(bytes)` switches the streaming layer to the memory-budgeted
-    /// fleet tier: resident engines are capped at this many bytes globally
-    /// (0 = fleet tier with no cap), idle streams are evicted to
-    /// generation-numbered checkpoints and rehydrated bit-identically on
-    /// the next touch, and drift-triggered refits run in the background
-    /// through the model registry. `None` keeps the flat tier.
+    /// `Some(bytes)` caps resident stream engines at this many bytes
+    /// globally (0 = no cap): idle streams are evicted to checkpoint
+    /// generations and rehydrated bit-identically on the next touch, and
+    /// drift-triggered refits run in the background through the model
+    /// registry. `None` keeps every open stream resident, without drift
+    /// detection.
     pub fleet_budget_bytes: Option<u64>,
 }
 
@@ -97,87 +98,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// The streaming layer behind the `stream.*` verbs: the flat
-/// [`StreamManager`] (every open stream stays resident) or the
-/// memory-budgeted [`FleetManager`]. Same verb surface either way — the
-/// fleet tier's evictions and rehydrations are invisible in responses.
-enum StreamTier {
-    Flat(StreamManager),
-    Fleet(FleetManager),
-}
-
-impl StreamTier {
-    fn open(&self, stream: &str, model: &str) -> Result<(), StreamError> {
-        match self {
-            StreamTier::Flat(m) => m.open(stream, model),
-            StreamTier::Fleet(m) => m.open(stream, model),
-        }
-    }
-
-    fn push(&self, stream: &str, points: &[f64]) -> Result<PushTicket, StreamError> {
-        match self {
-            StreamTier::Flat(m) => m.push(stream, points),
-            StreamTier::Fleet(m) => m.push(stream, points),
-        }
-    }
-
-    fn poll(&self, stream: &str) -> Result<StreamStatus, StreamError> {
-        match self {
-            StreamTier::Flat(m) => m.poll(stream),
-            StreamTier::Fleet(m) => m.poll(stream),
-        }
-    }
-
-    fn close(&self, stream: &str) -> Result<CloseReport, StreamError> {
-        match self {
-            StreamTier::Flat(m) => m.close(stream),
-            StreamTier::Fleet(m) => m.close(stream),
-        }
-    }
-
-    fn checkpoint(&self, stream: Option<&str>) -> Result<usize, StreamError> {
-        match self {
-            StreamTier::Flat(m) => m.checkpoint(stream),
-            StreamTier::Fleet(m) => m.checkpoint(stream),
-        }
-    }
-
-    fn streams(&self) -> Vec<String> {
-        match self {
-            StreamTier::Flat(m) => m.streams(),
-            StreamTier::Fleet(m) => m.streams(),
-        }
-    }
-
-    fn shard_of(&self, stream: &str) -> usize {
-        match self {
-            StreamTier::Flat(m) => m.shard_of(stream),
-            StreamTier::Fleet(m) => m.shard_of(stream),
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            StreamTier::Flat(m) => m.shard_count(),
-            StreamTier::Fleet(m) => m.shard_count(),
-        }
-    }
-
-    fn shard_metrics(&self) -> &[Arc<ShardMetrics>] {
-        match self {
-            StreamTier::Flat(m) => m.shard_metrics(),
-            StreamTier::Fleet(m) => m.shard_metrics(),
-        }
-    }
-
-    fn fleet_stats(&self) -> Option<FleetStats> {
-        match self {
-            StreamTier::Flat(_) => None,
-            StreamTier::Fleet(m) => Some(m.fleet_stats()),
-        }
-    }
-}
-
 /// State shared by the accept loop, workers, and executors.
 struct Shared {
     registry: Arc<RwLock<ModelRegistry>>,
@@ -185,7 +105,7 @@ struct Shared {
     batcher: Batcher,
     /// Online streaming layer; stream engines live on its shard threads,
     /// loading models from the same `models_dir` as the registry.
-    streams: StreamTier,
+    streams: FleetManager,
     shutdown: AtomicBool,
     addr: SocketAddr,
     request_timeout: Duration,
@@ -274,7 +194,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     // replies, so a fit→stream.open sequence always sees the file.
     let models_dir = cfg.models_dir.clone();
     let detect_threads = cfg.threads;
-    let loader: triad_stream::ModelLoader = Arc::new(move |name: &str| {
+    let loader: ModelLoader = Arc::new(move |name: &str| {
         let path = models_dir.join(format!("{name}.triad"));
         persist::load_file(&path)
             .map(|mut m| {
@@ -284,20 +204,15 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
             .map_err(|e| format!("load model {name:?}: {e}"))
     });
     let registry = Arc::new(RwLock::new(registry));
-    let streams = match cfg.fleet_budget_bytes {
-        None => StreamTier::Flat(StreamManager::new(
-            ManagerConfig {
-                shards: cfg.stream_shards.max(1),
-                queue_capacity: cfg.stream_queue.max(1),
-                checkpoint_dir: cfg.stream_checkpoint_dir.clone(),
-                ..Default::default()
-            },
-            loader,
-        )),
+    // Without a fleet budget the manager runs unbounded, with no drift, and
+    // persists only into an explicit checkpoint directory. A budget (0 =
+    // uncapped) turns on drift-triggered refits and always gets a store.
+    let (budget, store_dir, refitter) = match cfg.fleet_budget_bytes {
+        None => (0, cfg.stream_checkpoint_dir.clone(), None),
         Some(budget) => {
-            // Drift-triggered refits fit on the refit thread and persist
-            // through the registry, so the refreshed model is immediately
-            // visible to `list`/`detect` and to the shard loader above.
+            // Refits fit on the refit thread and persist through the
+            // registry, so the refreshed model is immediately visible to
+            // `list`/`detect` and to the shard loader above.
             let refit_registry = Arc::clone(&registry);
             let refitter: Refitter = Arc::new(move |req: &RefitRequest| {
                 let fitted = TriAd::new(req.config.clone())
@@ -312,21 +227,21 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
                 .stream_checkpoint_dir
                 .clone()
                 .unwrap_or_else(|| cfg.models_dir.join("_fleet"));
-            let fleet = FleetManager::new(
-                FleetConfig {
-                    shards: cfg.stream_shards.max(1),
-                    queue_capacity: cfg.stream_queue.max(1),
-                    store_dir,
-                    budget_bytes: budget as usize,
-                    ..FleetConfig::default()
-                },
-                loader,
-                Some(refitter),
-            )
-            .map_err(io::Error::other)?;
-            StreamTier::Fleet(fleet)
+            (budget as usize, Some(store_dir), Some(refitter))
         }
     };
+    let streams = FleetManager::new(
+        FleetConfig {
+            shards: cfg.stream_shards.max(1),
+            queue_capacity: cfg.stream_queue.max(1),
+            store_dir,
+            budget_bytes: budget,
+            ..FleetConfig::default()
+        },
+        loader,
+        refitter,
+    )
+    .map_err(io::Error::other)?;
     let shared = Arc::new(Shared {
         registry,
         metrics: Arc::clone(&metrics),
@@ -699,7 +614,7 @@ fn handle_detect(shared: &Arc<Shared>, req: &Value, id: Option<&Value>) -> Value
     }
 }
 
-/// Dispatch the `stream.*` verb family onto the [`StreamManager`].
+/// Dispatch the `stream.*` verb family onto the [`FleetManager`].
 fn handle_stream(shared: &Arc<Shared>, verb: &str, req: &Value, id: Option<&Value>) -> Value {
     let stream_name = req.get("stream").and_then(Value::as_str);
     match verb {
@@ -833,7 +748,7 @@ fn fleet_counters(s: &FleetStats) -> [(&'static str, u64); 12] {
 }
 
 /// Per-shard streaming counters for the `stats` verb's JSON payload.
-fn stream_metrics_json(mgr: &StreamTier) -> Value {
+fn stream_metrics_json(mgr: &FleetManager) -> Value {
     let mut shards = Vec::with_capacity(mgr.shard_count());
     let mut open_total = 0u64;
     for (i, m) in mgr.shard_metrics().iter().enumerate() {
@@ -848,22 +763,19 @@ fn stream_metrics_json(mgr: &StreamTier) -> Value {
         ));
         shards.push(Value::Obj(fields));
     }
-    let mut fields = vec![
+    let fleet: Vec<(String, Value)> = fleet_counters(&mgr.fleet_stats())
+        .into_iter()
+        .map(|(name, v)| (name.into(), Value::Num(v as f64)))
+        .collect();
+    Value::Obj(vec![
         ("shards".into(), Value::Arr(shards)),
         ("open_streams".into(), Value::Num(open_total as f64)),
-    ];
-    if let Some(stats) = mgr.fleet_stats() {
-        let fleet: Vec<(String, Value)> = fleet_counters(&stats)
-            .into_iter()
-            .map(|(name, v)| (name.into(), Value::Num(v as f64)))
-            .collect();
-        fields.push(("fleet".into(), Value::Obj(fleet)));
-    }
-    Value::Obj(fields)
+        ("fleet".into(), Value::Obj(fleet)),
+    ])
 }
 
 /// Per-shard streaming counters in the text exposition format.
-fn render_stream_metrics(mgr: &StreamTier, out: &mut String) {
+fn render_stream_metrics(mgr: &FleetManager, out: &mut String) {
     use std::fmt::Write;
     for (i, m) in mgr.shard_metrics().iter().enumerate() {
         for (name, counter) in shard_counters(m) {
@@ -880,10 +792,8 @@ fn render_stream_metrics(mgr: &StreamTier, out: &mut String) {
             out,
         );
     }
-    if let Some(stats) = mgr.fleet_stats() {
-        for (name, v) in fleet_counters(&stats) {
-            let _ = writeln!(out, "triad_fleet_{name} {v}");
-        }
+    for (name, v) in fleet_counters(&mgr.fleet_stats()) {
+        let _ = writeln!(out, "triad_fleet_{name} {v}");
     }
 }
 
@@ -1059,6 +969,14 @@ mod tests {
             .and_then(Value::as_arr)
             .expect("shards");
         assert_eq!(shards.len(), 2);
+        // Without a fleet budget the manager is unbounded, and says so.
+        assert_eq!(
+            streams
+                .get("fleet")
+                .and_then(|f| f.get("budget_bytes"))
+                .and_then(Value::as_u64),
+            Some(0)
+        );
         let ingested: u64 = shards
             .iter()
             .map(|s| s.get("ingested").and_then(Value::as_u64).unwrap_or(0))

@@ -17,11 +17,13 @@
 //! * [`checkpoint`] — persist/restore per-stream state in the hardened
 //!   TRIAD2 style (magic, bounded lengths, CRC-32 trailer) so a restarted
 //!   server resumes mid-stream bit-identically.
-//! * [`shard`] — the multi-stream [`StreamManager`]: streams hash to worker
-//!   shards, each with a bounded ingest queue (explicit backpressure and
-//!   drop accounting) and per-shard [`metrics`].
-//! * [`metrics`] — atomic counters plus a fixed-bucket [`Histogram`] with
-//!   bucket-derived quantile estimates (p50/p95/p99).
+//! * [`metrics`] — the per-shard counters of a multi-stream manager plus a
+//!   fixed-bucket [`Histogram`] with bucket-derived quantile estimates
+//!   (p50/p95/p99).
+//!
+//! Hosting many streams — sharding, bounded ingest queues, model caching,
+//! checkpoint sweeps and memory budgets — is `triad_fleet::FleetManager`'s
+//! job; this crate stays single-stream.
 //!
 //! The stride policy (paper Sec. IV-A2: stride = L/4, overlapping) is kept
 //! for online scoring so the offline and online window sets coincide; see
@@ -33,14 +35,12 @@ pub mod checkpoint;
 pub mod engine;
 pub mod metrics;
 pub mod ring;
-pub mod shard;
 
 pub use engine::{
     LiveView, PushOutcome, StreamConfig, StreamEngine, StreamEvent, StreamStatus, WindowScore,
 };
 pub use metrics::{Histogram, HistogramSnapshot, ShardMetrics};
 pub use ring::RingBuffer;
-pub use shard::{CloseReport, ManagerConfig, ModelLoader, PushTicket, StreamManager};
 
 use std::fmt;
 use triad_core::PersistError;
@@ -72,6 +72,9 @@ pub enum StreamError {
     ModelLoad(String),
     /// The shard worker is gone (manager shut down or worker died).
     ShardUnavailable,
+    /// A checkpoint or a byte budget was asked of a manager configured
+    /// without a checkpoint store.
+    NoStore,
     /// The engine was rebound to a refreshed model mid-stream (fleet refit),
     /// so an offline-equivalent `finalize` no longer exists: the incremental
     /// rankings cover only the windows scored since the swap. Live scores
@@ -99,6 +102,7 @@ impl fmt::Display for StreamError {
             StreamError::BadName(msg) => write!(f, "stream: {msg}"),
             StreamError::ModelLoad(msg) => write!(f, "stream: model load failed: {msg}"),
             StreamError::ShardUnavailable => write!(f, "stream: shard worker unavailable"),
+            StreamError::NoStore => write!(f, "stream: no checkpoint store configured"),
             StreamError::ModelSwapped => write!(
                 f,
                 "stream: model was swapped mid-stream; offline-equivalent finalize unavailable"

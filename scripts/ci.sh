@@ -10,6 +10,12 @@ cargo fmt --all --check
 echo "== cargo build --release"
 cargo build --workspace --release
 
+echo "== triadbench builds against the public API and leaves its lock file unchanged"
+# A plain build (not --locked: that passes even when a dependency edge was
+# dropped) rewrites triadbench/Cargo.lock whenever the crate graph moved.
+cargo build --release --offline --manifest-path triadbench/Cargo.toml
+git diff --exit-code -- triadbench/Cargo.lock
+
 echo "== cargo test (TRIAD_THREADS=1: serial everywhere)"
 TRIAD_THREADS=1 cargo test --workspace -q
 

@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 use triad_core::{TriAd, TriadConfig, TriadDetection};
-use triad_fleet::{DriftPolicy, FleetConfig, FleetManager};
-use triad_stream::{ModelLoader, StreamStatus};
+use triad_fleet::{FleetConfig, FleetManager, ModelLoader};
+use triad_stream::StreamStatus;
 
 /// Model recipes keyed by name: the loader fits on the shard thread
 /// (`FittedTriad` is `!Send`), so configs and training splits are what
@@ -39,11 +39,7 @@ fn fleet_cfg(budget: usize, dir: std::path::PathBuf) -> FleetConfig {
     FleetConfig {
         shards: 2,
         budget_bytes: budget,
-        store_dir: dir,
-        drift: DriftPolicy {
-            enabled: false,
-            ..DriftPolicy::default()
-        },
+        store_dir: Some(dir),
         ..FleetConfig::default()
     }
 }
